@@ -1,27 +1,25 @@
 (* A ranking is a score plus a cheap lower bound on that score.  The bound
-   receives, for the (task, copy) being placed, the earliest instant any
-   admissible source set can deliver data ([finish_lb] already includes the
-   candidate's execution time) and a floor on the pipeline stage; both are
-   valid for every source-set variant the placement branch may try, so a
-   candidate processor whose bound already loses to the incumbent can skip
-   the full timeline probe.  Soundness: each component of [bound] is ≤ the
-   corresponding component of [score] of any trial on that processor, so
-   [bound >lex incumbent] implies [score >lex incumbent]. *)
+   receives, for the (task, copy) being placed on a candidate processor, a
+   floor on the finish time of any trial there and a floor on its pipeline
+   stage; both are valid for every source-set variant the placement branch
+   may try, so a candidate processor whose bound already loses to the
+   incumbent can skip the full timeline probe.  Soundness: [score] is
+   monotone in (stage, finish) component-wise, so [bound >lex incumbent]
+   implies [score >lex incumbent]. *)
 type rank = {
-  score : State.t -> State.trial -> float * float;
+  score : stage:int -> finish:float -> float * float;
   bound : stage_lb:int -> finish_lb:float -> float * float;
 }
 
 let by_finish_time : rank =
   {
-    score = (fun _ trial -> (trial.State.t_finish, 0.0));
+    score = (fun ~stage:_ ~finish -> (finish, 0.0));
     bound = (fun ~stage_lb:_ ~finish_lb -> (finish_lb, 0.0));
   }
 
 let by_stage_then_finish : rank =
   {
-    score =
-      (fun _ trial -> (float_of_int trial.State.t_stage, trial.State.t_finish));
+    score = (fun ~stage ~finish -> (float_of_int stage, finish));
     bound = (fun ~stage_lb ~finish_lb -> (float_of_int stage_lb, finish_lb));
   }
 
@@ -98,22 +96,30 @@ let singleton_data state count task =
     ct_heads = heads }
 
 (* Incremental form of the historical pick-best fold: [offer] feeds
-   admitted trials in their generation order (ascending processor, then
+   admitted probes in their generation order (ascending processor, then
    variant order), keeping the winner under (penalty, rank) with ties
    broken by processor index — the same winner the materialize-then-fold
-   version selected. *)
-let offer ~(mode : Sched_api.mode) ~rank state best trial =
+   version selected.  Only a probe that takes the lead is kept as a
+   trial. *)
+let offer ~(mode : Sched_api.mode) ~rank state best ~proc =
   let penalty =
-    match mode with Strict -> 0.0 | Best_effort -> State.overload state trial
+    match mode with Strict -> 0.0 | Best_effort -> State.overload state
   in
-  let key = (penalty, rank.score state trial) in
-  match !best with
-  | Some (best_key, best_trial) ->
-      if
-        key < best_key
-        || (key = best_key && trial.State.t_proc < best_trial.State.t_proc)
-      then best := Some (key, trial)
-  | None -> best := Some (key, trial)
+  let r1, r2 =
+    rank.score ~stage:(State.probe_stage state) ~finish:(State.probe_finish state)
+  in
+  (* (penalty, r1, r2, proc) <lex the incumbent's, spelled out instead of
+     a polymorphic tuple comparison on every probe *)
+  let leads =
+    match !best with
+    | None -> true
+    | Some ((bp, (b1, b2)), (best_trial : State.trial)) ->
+        if penalty <> bp then penalty < bp
+        else if r1 <> b1 then r1 < b1
+        else if r2 <> b2 then r2 < b2
+        else proc < best_trial.t_proc
+  in
+  if leads then best := Some ((penalty, (r1, r2)), State.trial state)
 
 (* A candidate processor can be skipped without probing when the incumbent
    carries no overload penalty (so any candidate's penalty, ≥ 0, cannot
@@ -133,9 +139,12 @@ let prune ~rank best ~stage_lb ~finish_lb =
    may try draws at least one of them per predecessor, so data readiness
    is floored by the per-predecessor minimum arrival (finish plus the
    transfer time, zero when co-located) and the stage by the minimum
-   stage (+1 when remote).  Adding the candidate's execution time floors
-   the finish. *)
-let candidate_bound plat ~preds ~work proc =
+   stage (+1 when remote).  The execution then starts no earlier than the
+   first fit on the candidate's committed compute timeline at that floor
+   ([earliest_fit] is monotone in [ready], and probes never write the
+   compute timeline). *)
+let candidate_bound state ~preds ~work proc =
+  let plat = (State.problem state).Types.platform in
   let fin = ref 0.0 and stg = ref 1 in
   List.iter
     (fun (vol, reps) ->
@@ -157,7 +166,8 @@ let candidate_bound plat ~preds ~work proc =
         if !s > !stg then stg := !s
       end)
     preds;
-  (!stg, !fin +. Platform.exec_time plat proc work)
+  let exec = Platform.exec_time plat proc work in
+  (!stg, State.earliest_start state proc ~ready:!fin ~duration:exec +. exec)
 
 (* Hosts of the admissible sources, probed ahead of the main sweep: a
    co-located placement pays no transfer, so it usually sets a strong
@@ -169,21 +179,22 @@ let source_hosts preds =
   List.sort_uniq compare
     (List.concat_map (fun (_, reps) -> List.map (fun (_, _, p) -> p) reps) preds)
 
-(* Condition-(1) admission shared by both placement branches: in strict
-   mode an infeasible trial is rejected, in best-effort mode it survives
-   (ranked by overload) but still counts as a rejection for the profile. *)
-let admit ~(mode : Sched_api.mode) state trial =
+(* Condition-(1) admission of the current probe, shared by both placement
+   branches: in strict mode an infeasible probe is rejected, in
+   best-effort mode it survives (ranked by overload) but still counts as
+   a rejection for the profile. *)
+let admit ~(mode : Sched_api.mode) state =
   match mode with
   | Strict ->
-      if State.feasible state trial then Some trial
-      else begin
-        Obs.incr "core.feasibility_rejections";
-        None
-      end
+      State.feasible state
+      || begin
+           Obs.incr "core.feasibility_rejections";
+           false
+         end
   | Best_effort ->
-      if Obs.enabled () && not (State.feasible state trial) then
+      if Obs.enabled () && not (State.feasible state) then
         Obs.incr "core.feasibility_rejections";
-      Some trial
+      true
 
 (* Each replica may sole-source (transitively) through at most a "lane" of
    [m / (ε+1)] processors: the kill sets of the ε+1 replicas of a task must
@@ -219,7 +230,7 @@ let one_to_one ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
     let sources =
       List.map (fun (pred, ids) -> (pred, [ List.hd !ids ])) ct.ct_heads
     in
-    let plat = prob.Types.platform and dag = prob.Types.dag in
+    let dag = prob.Types.dag in
     let work = Dag.exec dag ct.ct_task in
     (* The bound data for this fixed source set: exactly one admissible
        replica per predecessor. *)
@@ -240,18 +251,14 @@ let one_to_one ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
     let best = ref None in
     let consider proc =
       if not (State.Pset.mem proc ct.ct_claimed) then begin
-        let stage_lb, finish_lb = candidate_bound plat ~preds ~work proc in
+        let stage_lb, finish_lb = candidate_bound state ~preds ~work proc in
         if prune ~rank best ~stage_lb ~finish_lb then
           Obs.incr "core.probe_prunes"
         else begin
           let kill = State.support_of_sources state ~proc ~sources in
           if State.Pset.cardinal kill <= budget then begin
-            let trial =
-              State.evaluate state ~task:ct.ct_task ~copy ~proc ~sources
-            in
-            match admit ~mode state trial with
-            | Some trial -> offer ~mode ~rank state best trial
-            | None -> ()
+            State.probe state ~task:ct.ct_task ~copy ~proc ~sources;
+            if admit ~mode state then offer ~mode ~rank state best ~proc
           end
         end
       end
@@ -380,7 +387,7 @@ let general ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
   let best = ref None in
   let consider proc =
     if not (State.Pset.mem proc ct.ct_claimed) then begin
-      let stage_lb, finish_lb = candidate_bound plat ~preds ~work proc in
+      let stage_lb, finish_lb = candidate_bound state ~preds ~work proc in
       if prune ~rank best ~stage_lb ~finish_lb then
         Obs.incr "core.probe_prunes"
       else
@@ -392,12 +399,8 @@ let general ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
                 (State.Pset.remove proc kill_set)
                 ct.ct_claimed
             then begin
-              let trial =
-                State.evaluate state ~task:ct.ct_task ~copy ~proc ~sources
-              in
-              match admit ~mode state trial with
-              | Some trial -> offer ~mode ~rank state best trial
-              | None -> ()
+              State.probe state ~task:ct.ct_task ~copy ~proc ~sources;
+              if admit ~mode state then offer ~mode ~rank state best ~proc
             end)
           (variants_on proc)
     end
@@ -406,24 +409,7 @@ let general ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
   List.iter consider hosts;
   List.iter (fun p -> if not (List.mem p hosts) then consider p) procs;
   match Option.map snd !best with
-  | None ->
-      if Sys.getenv_opt "STREAMSCHED_DEBUG" <> None then begin
-        Printf.eprintf "general: no proc for t%d(%d); claimed={%s}\n"
-          ct.ct_task copy
-          (String.concat ","
-             (List.map string_of_int (State.Pset.elements ct.ct_claimed)));
-        List.iter
-          (fun proc ->
-            let delta = Types.period prob in
-            Printf.eprintf
-              "  P%d claimed=%b sigma=%.2f c_in=%.2f c_out=%.2f (delta=%.1f)\n"
-              proc
-              (State.Pset.mem proc ct.ct_claimed)
-              (State.sigma state proc) (State.c_in state proc)
-              (State.c_out state proc) delta)
-          procs
-      end;
-      None
+  | None -> None
   | Some trial ->
       State.commit state trial;
       record_placement state ct trial;

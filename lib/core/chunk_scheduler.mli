@@ -40,16 +40,16 @@
     whether it is on or off. *)
 
 type rank = {
-  score : State.t -> State.trial -> float * float;
+  score : stage:int -> finish:float -> float * float;
       (** Smaller is better, compared lexicographically; ties broken by
-          processor index. *)
+          processor index.  Monotone component-wise in the trial's
+          pipeline stage and estimated finish time. *)
   bound : stage_lb:int -> finish_lb:float -> float * float;
-      (** A component-wise lower bound on [score] for any trial of the
-          (task, copy) being placed on a candidate processor, given a floor
-          on its pipeline stage and on its finish time (earliest source
-          data readiness plus the candidate's execution time).  Candidates
-          whose bound already loses lexicographically to a zero-overload
-          incumbent are skipped without probing the timelines — the
+      (** [score] at the floors {!candidate_bound} computes for a
+          candidate processor, hence a lower bound on the score of any
+          trial of the (task, copy) being placed there.  Candidates whose
+          bound already loses lexicographically to a zero-overload
+          incumbent are skipped without probing the port timelines — the
           selected trial is identical, only the probe count changes. *)
 }
 
@@ -59,6 +59,21 @@ val by_finish_time : rank
 val by_stage_then_finish : rank
 (** R-LTF's Rule 1 policy: score [(stage, F)], bound
     [(stage_lb, finish_lb)]. *)
+
+val candidate_bound :
+  State.t ->
+  preds:(float * (float * int * Platform.proc) list) list ->
+  work:float ->
+  Platform.proc ->
+  int * float
+(** [candidate_bound state ~preds ~work proc] floors the pipeline stage
+    and the finish time of any trial of a task of execution weight [work]
+    on [proc] whose source set takes at least one replica from each
+    [preds] entry, given as (transfer volume, admissible sources as
+    (finish, stage, host) triples).  The finish floor is the earliest fit
+    of the execution on [proc]'s committed compute timeline at the
+    earliest instant every predecessor can deliver, plus the execution
+    time. *)
 
 val schedule :
   ?opts:Sched_api.options ->

@@ -2,15 +2,18 @@
 
     Wraps a partial {!Mapping.t} together with everything the algorithms
     probe at each placement step: per-processor computing loads [Σ_u],
-    communication cycle loads [Cᴵ_u]/[Cᴼ_u], persistent one-port timelines
-    for contention-aware finish-time estimation, committed replica finish
+    communication cycle loads [Cᴵ_u]/[Cᴼ_u], one-port timelines for
+    contention-aware finish-time estimation, committed replica finish
     times, and incremental pipeline stages.
 
-    A placement is evaluated as a {!trial} (pure, no state change) and then
-    {!commit}ted.  Trials schedule each incoming transfer earliest-fit on
-    the pair (sender send port, receiver receive port) and the execution
-    earliest-fit on the target processor, on top of the committed
-    timelines. *)
+    A placement is first {!probe}d (no change to the committed state) and
+    the chosen one is then {!commit}ted.  A probe schedules each incoming
+    transfer earliest-fit on the pair (sender send port, receiver receive
+    port) and the execution earliest-fit on the target processor, on top
+    of the committed timelines.  Its outcome lives in an arena owned by
+    the state and reused by the next probe: read it with {!probe_finish},
+    {!probe_stage}, {!feasible} and {!overload}, and keep it with
+    {!trial}. *)
 
 type t
 
@@ -64,7 +67,7 @@ val send_ready : t -> Platform.proc -> float
 (** Earliest instant the send port of the processor is free forever after —
     the key used to sort predecessor replicas in the one-to-one procedure. *)
 
-(** A simulated placement of one replica. *)
+(** A placement of one replica, kept from a probe. *)
 type trial = {
   t_task : Dag.task;
   t_copy : int;
@@ -74,32 +77,51 @@ type trial = {
   t_finish : float;
   t_stage : int;
   t_comms : (Replica.id * float * float * float) list;
-      (** incoming transfers: source replica, start, duration, arrival *)
+      (** incoming transfers in scheduling order: source replica, start,
+          duration, arrival *)
 }
 
-val evaluate :
+val probe :
   t ->
   task:Dag.task ->
   copy:int ->
   proc:Platform.proc ->
   sources:(Dag.task * Replica.id list) list ->
-  trial
+  unit
 (** Simulate placing the replica on the processor with the given source
-    sets (one entry per predecessor, each source already placed).  Does not
-    check the throughput condition — see {!feasible}. *)
+    sets (one entry per predecessor, each source already placed),
+    replacing the previous probe.  Does not check the throughput
+    condition — see {!feasible}.  Once the arena has grown to the
+    largest fan-in, a probe builds no list, timeline version or table.
+    @raise Invalid_argument if a source is not placed. *)
 
-val feasible : t -> trial -> bool
-(** Condition (1) of §4 for the trial: with the replica added, the target
-    processor's computing load and input-communication load, and every
-    source processor's output-communication load, all fit within the period
-    [Δ = 1/T]. *)
+val probe_finish : t -> float
+(** Estimated finish time of the current probe. *)
 
-val overload : t -> trial -> float
-(** Total amount by which the trial would push the affected resource loads
-    beyond the period; [0] iff {!feasible}.  Used by the best-effort
-    scheduling mode to pick the least-overloaded placement when condition
-    (1) cannot be met anywhere (the paper's "we use other processors, at
-    the risk of increasing the communication overhead"). *)
+val probe_stage : t -> int
+(** Pipeline stage of the current probe. *)
+
+val trial : t -> trial
+(** The current probe as a value that survives later probes. *)
+
+val feasible : t -> bool
+(** Condition (1) of §4 for the current probe: with the replica added, the
+    target processor's computing load and input-communication load, and
+    every source processor's output-communication load, all fit within
+    the period [Δ = 1/T]. *)
+
+val overload : t -> float
+(** Total amount by which the current probe would push the affected
+    resource loads beyond the period; [0] iff {!feasible}.  Used by the
+    best-effort scheduling mode to pick the least-overloaded placement
+    when condition (1) cannot be met anywhere (the paper's "we use other
+    processors, at the risk of increasing the communication overhead"). *)
+
+val earliest_start : t -> Platform.proc -> ready:float -> duration:float -> float
+(** Earliest start [≥ ready] of an execution of the given duration on the
+    processor's committed compute timeline.  Probes never write that
+    timeline, so this floors the start of any probe on the processor
+    whose data is ready no earlier than [ready]. *)
 
 val commit : t -> trial -> unit
 (** Apply a trial: place the replica in the mapping, charge loads, reserve

@@ -3,18 +3,19 @@
    The committed intervals of a timeline live in a shared growable pair of
    sorted float arrays (starts, finishes); a timeline value is a *version*:
    a prefix length into that buffer plus a small persistent overlay of
-   recent inserts.  Versions are cheap to branch — the trial placements of
-   processor selection extend the overlay and are discarded for free,
-   exactly like the old interval-list representation — while queries run a
-   binary search over the flat prefix instead of a head-to-tail scan.
+   recent inserts.  Queries run a binary search over the flat prefix
+   instead of a head-to-tail scan.
 
    In-place buffer appends are only permitted for the *tip* version (the
-   one whose prefix length equals the committed buffer length), which is
-   the single committed timeline held in the scheduler's per-resource
-   arrays; every branched version sees an unchanged prefix.  Out-of-order
-   inserts (gap filling) go through the overlay and are packed into a fresh
-   buffer once the overlay grows past a small bound, keeping every
-   operation amortized O(log n + overlay). *)
+   one whose prefix length equals the committed buffer length); every
+   other version sees an unchanged prefix.  Out-of-order inserts (gap
+   filling) go through the overlay and are packed into a fresh buffer once
+   the overlay reaches a small bound, keeping every operation amortized
+   O(log n + overlay).
+
+   Placement probes do not branch versions: they keep their tentative
+   intervals in a caller-owned {!scratch} and query the committed version
+   and the scratch together. *)
 
 type buf = {
   mutable bs : float array; (* starts,   sorted, prefix [0, bn) committed *)
@@ -31,17 +32,21 @@ type t = {
 
 let eps = 1e-12
 
-(* Commit-side compaction threshold: {!compact} rebuilds a flat buffer once
-   the overlay holds this many entries, so long-lived (committed) timelines
-   always expose an overlay strictly below it. *)
-let compact_at = 8
+(* Out-of-order inserts ride in the overlay until it holds this many
+   entries; the next one packs the merged view into a fresh buffer.  Every
+   query scans the overlay, so the bound trades query cost against the
+   O(n) pack. *)
+let max_overlay = 8
 
-(* Trial-side safety valve.  Versions branched off a committed timeline
-   (processor-selection probes) extend the overlay and are discarded, so
-   packing them is wasted O(n) work; with committed overlays < [compact_at]
-   a probe gets [max_overlay - compact_at + 1] cheap inserts of headroom
-   before this bound forces a pack. *)
-let max_overlay = 16
+(* Probe-private intervals: a standalone sorted buffer, stable after equal
+   starts. *)
+type scratch = buf
+
+let scratch () = { bs = [||]; bf = [||]; bn = 0 }
+let clear sc = sc.bn <- 0
+
+(* Never written: the scratch of the plain (committed-only) queries. *)
+let no_scratch = scratch ()
 
 let empty =
   { buf = { bs = [||]; bf = [||]; bn = 0 }; n = 0; ov = []; ov_n = 0 }
@@ -59,68 +64,88 @@ let lower_bound buf n ~ready =
   done;
   !lo
 
-let earliest_fit t ~ready ~duration =
+let start_index buf n ~ready =
+  if n = 0 then 0
+  else
+    let lb = lower_bound buf n ~ready in
+    if lb = 0 then 0 else lb - 1
+
+(* Merge-scan the buffer prefix, the overlay and the scratch in start order
+   (buffer, then overlay, then scratch on equal starts), skipping a busy
+   interval by advancing past its finish and stopping at the first gap
+   wide enough.  A while loop over local refs, which the compiler keeps
+   unboxed: probes call this millions of times. *)
+let earliest_fit_with t sc ~ready ~duration =
   if duration < 0.0 then invalid_arg "Timeline.earliest_fit: negative duration";
-  let buf = t.buf and n = t.n in
-  let i0 =
-    if n = 0 then 0
-    else
-      let lb = lower_bound buf n ~ready in
-      if lb = 0 then 0 else lb - 1
-  in
-  (* Merge-scan the buffer prefix and the overlay in start order (buffer
-     first on ties), applying the same candidate recurrence the interval
-     list used: skip a busy interval by advancing past its finish, stop at
-     the first gap wide enough. *)
-  let rec scan candidate i ov =
+  let buf = t.buf and n = t.n and sn = sc.bn in
+  let i = ref (start_index buf n ~ready) and ov = ref t.ov and j = ref 0 in
+  let candidate = ref ready and s = ref 0.0 and f = ref 0.0 in
+  let searching = ref true in
+  while !searching do
     let take_buf =
-      i < n
-      && match ov with [] -> true | (os, _) :: _ -> buf.bs.(i) <= os
+      !i < n
+      && (match !ov with [] -> true | (os, _) :: _ -> buf.bs.(!i) <= os)
+      && (!j >= sn || buf.bs.(!i) <= sc.bs.(!j))
     in
-    if take_buf then begin
-      let s = buf.bs.(i) and f = buf.bf.(i) in
-      if candidate +. duration <= s +. eps then candidate
-      else scan (Float.max candidate f) (i + 1) ov
-    end
-    else
-      match ov with
-      | [] -> candidate
-      | (s, f) :: rest ->
-          if candidate +. duration <= s +. eps then candidate
-          else scan (Float.max candidate f) i rest
-  in
-  scan ready i0 t.ov
+    let next =
+      if take_buf then begin
+        s := buf.bs.(!i);
+        f := buf.bf.(!i);
+        incr i;
+        true
+      end
+      else
+        match !ov with
+        | (os, ofin) :: rest when !j >= sn || os <= sc.bs.(!j) ->
+            s := os;
+            f := ofin;
+            ov := rest;
+            true
+        | _ ->
+            !j < sn
+            && begin
+                 s := sc.bs.(!j);
+                 f := sc.bf.(!j);
+                 incr j;
+                 true
+               end
+    in
+    if (not next) || !candidate +. duration <= !s +. eps then searching := false
+    else candidate := Float.max !candidate !f
+  done;
+  !candidate
+
+let earliest_fit t ~ready ~duration = earliest_fit_with t no_scratch ~ready ~duration
+
+let overlap_error () = invalid_arg "Timeline.insert: overlapping interval"
 
 (* Intervals skipped by the lower-bound jump end before [start]; checking
-   the immediate predecessor and every interval from there on reproduces
-   the old full-scan overlap validation. *)
-let check_no_overlap t ~start ~finish =
-  let buf = t.buf and n = t.n in
-  let i0 =
-    if n = 0 then 0
-    else
-      let lb = lower_bound buf n ~ready:start in
-      if lb = 0 then 0 else lb - 1
-  in
-  let overlap s f = finish > s +. eps && f > start +. eps in
-  let rec check i ov =
-    let take_buf =
-      i < n
-      && match ov with [] -> true | (os, _) :: _ -> buf.bs.(i) <= os
-    in
-    if take_buf then begin
-      if overlap buf.bs.(i) buf.bf.(i) then
-        invalid_arg "Timeline.insert: overlapping interval";
-      if buf.bs.(i) < finish then check (i + 1) ov
-    end
-    else
-      match ov with
-      | [] -> ()
-      | (s, f) :: rest ->
-          if overlap s f then invalid_arg "Timeline.insert: overlapping interval";
-          if s < finish then check i rest
-  in
-  check i0 t.ov
+   the immediate predecessor and every interval from there on, plus the
+   whole overlay and scratch, reproduces a full-scan overlap validation.
+   Closure-free and inlined so a probe's reservations do not allocate. *)
+let[@inline] check_no_overlap t sc ~start ~finish =
+  let buf = t.buf in
+  let i = ref (start_index buf t.n ~ready:start) in
+  while !i < t.n && buf.bs.(!i) < finish do
+    if finish > buf.bs.(!i) +. eps && buf.bf.(!i) > start +. eps then
+      overlap_error ();
+    incr i
+  done;
+  let ov = ref t.ov in
+  while
+    match !ov with
+    | [] -> false
+    | (s, f) :: rest ->
+        if finish > s +. eps && f > start +. eps then overlap_error ();
+        ov := rest;
+        true
+  do
+    ()
+  done;
+  for j = 0 to sc.bn - 1 do
+    if finish > sc.bs.(j) +. eps && sc.bf.(j) > start +. eps then
+      overlap_error ()
+  done
 
 (* Fold the merged (prefix, overlay) view left to right in start order,
    buffer entries first on ties — the order the old sorted list presented. *)
@@ -140,7 +165,7 @@ let fold_merged t ~init ~f =
   go init 0 t.ov
 
 let pack t ~start ~finish =
-  Obs.incr "sched.timeline.trial_packs";
+  Obs.incr "sched.timeline.packs";
   let total = t.n + t.ov_n + 1 in
   let bs = Array.make (max 8 (2 * total)) 0.0 in
   let bf = Array.make (Array.length bs) 0.0 in
@@ -176,7 +201,7 @@ let insert t ~start ~duration =
   if duration = 0.0 then t
   else begin
     let finish = start +. duration in
-    check_no_overlap t ~start ~finish;
+    check_no_overlap t no_scratch ~start ~finish;
     if t.n = 0 && t.ov_n = 0 then begin
       (* First interval: claim a fresh private buffer (never extend the
          shared [empty] buffer). *)
@@ -209,25 +234,22 @@ let insert t ~start ~duration =
     end
   end
 
-(* Rebuild the merged view into a fresh flat buffer.  The merged order is
-   preserved exactly, so every query over the compacted timeline returns
-   the same result as over the original — only the representation changes.
-   Callers holding a timeline for the long term (the scheduler's commit
-   path) run this so probes branched off it always find overlay headroom
-   below [max_overlay] and never pay the O(n) trial pack. *)
-let compact t =
-  if t.ov_n < compact_at then t
-  else begin
-    Obs.incr "sched.timeline.compactions";
-    let total = t.n + t.ov_n in
-    let bs = Array.make (max 8 (2 * total)) 0.0 in
-    let bf = Array.make (Array.length bs) 0.0 in
-    let idx = ref 0 in
-    fold_merged t ~init:() ~f:(fun () s f ->
-        bs.(!idx) <- s;
-        bf.(!idx) <- f;
-        incr idx);
-    { buf = { bs; bf; bn = !idx }; n = !idx; ov = []; ov_n = 0 }
+let reserve t sc ~start ~duration =
+  if duration < 0.0 then invalid_arg "Timeline.reserve: negative duration";
+  if duration > 0.0 then begin
+    let finish = start +. duration in
+    check_no_overlap t sc ~start ~finish;
+    if sc.bn = Array.length sc.bs then grow sc;
+    (* sorted insert, after any entry with the same start *)
+    let k = ref sc.bn in
+    while !k > 0 && sc.bs.(!k - 1) > start do
+      sc.bs.(!k) <- sc.bs.(!k - 1);
+      sc.bf.(!k) <- sc.bf.(!k - 1);
+      decr k
+    done;
+    sc.bs.(!k) <- start;
+    sc.bf.(!k) <- finish;
+    sc.bn <- sc.bn + 1
   end
 
 (* End of the interval with the greatest start (the last one in the merged

@@ -2,8 +2,10 @@
 
     A timeline records disjoint half-open busy intervals on a resource (a
     compute core, a send port, a receive port).  Timelines are persistent:
-    trial placements during processor selection share structure with the
-    committed state and are discarded for free. *)
+    inserting returns a new version and leaves the old one valid.
+    Placement probes, which ask "where would this fit" millions of times
+    and keep nothing, hold their tentative intervals in a reusable
+    {!scratch} instead of branching versions. *)
 
 type t
 
@@ -25,14 +27,25 @@ val busy_until : t -> float
 val total_busy : t -> float
 (** Sum of busy durations. *)
 
-val compact : t -> t
-(** The same timeline re-packed into a flat buffer once its overlay of
-    recent out-of-order inserts has grown to the compaction threshold;
-    below it, the value is returned unchanged.  Queries are unaffected —
-    only the representation changes.  Long-lived timelines (the
-    scheduler's committed per-resource state) should be stored compacted
-    so the trial versions branched off them during processor selection
-    keep cheap overlay headroom instead of re-packing on every probe. *)
+type scratch
+(** A mutable, reusable set of probe-private busy intervals, read together
+    with a committed timeline by {!earliest_fit_with} and {!reserve}. *)
+
+val scratch : unit -> scratch
+(** An empty scratch. *)
+
+val clear : scratch -> unit
+(** Forget every interval; keeps the storage for reuse. *)
+
+val earliest_fit_with : t -> scratch -> ready:float -> duration:float -> float
+(** {!earliest_fit} over the union of the timeline's intervals and the
+    scratch's.  Reads both, writes neither. *)
+
+val reserve : t -> scratch -> start:float -> duration:float -> unit
+(** Mark [[start, start + duration)] busy in the scratch; the timeline is
+    left untouched.  A zero duration is a no-op.
+    @raise Invalid_argument if the interval overlaps one of the timeline
+    or of the scratch, or if [duration < 0]. *)
 
 val intervals : t -> (float * float) list
 (** Busy intervals in increasing order (for tests and rendering). *)

@@ -25,6 +25,8 @@ let tokenize contents =
 
 let parse_float line what s =
   match float_of_string_opt s with
+  | Some v when not (Float.is_finite v) ->
+      fail line "%s must be finite, got %s" what s
   | Some v when v > 0.0 -> Ok v
   | Some _ -> fail line "%s must be positive, got %s" what s
   | None -> fail line "cannot parse %s %S" what s

@@ -228,6 +228,199 @@ let prop_flat_state_matches_reference =
           !ok)
 
 (* ------------------------------------------------------------------ *)
+(* The probe arena vs the list-based reference probe                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A random problem with a period tight enough that probes overload
+   resources, so the best-effort overload sums have many non-zero terms.
+   The platform is heterogeneous, or homogeneous in about a third of the
+   cases, where sibling replicas finish together and transfers tie on
+   readiness.  One case in three is a wide fan-in:
+   [k] entry tasks on [k] distinct processors feeding one sink, so a probe
+   of the sink has up to 40 senders and the reference's hashtable resizes
+   past its 32-key threshold. *)
+let probe_problem_of_seed seed =
+  let rng = Rng.create ~seed in
+  let fan_in = Rng.int rng 3 = 0 in
+  let dag, m, eps =
+    if fan_in then begin
+      let k = 20 + Rng.int rng 21 in
+      let b = Dag.Builder.create ~name:"fan-in" (k + 1) in
+      for t = 0 to k do
+        Dag.Builder.set_exec b t (1.0 +. Rng.float rng 9.0)
+      done;
+      for t = 0 to k - 1 do
+        Dag.Builder.add_edge b ~volume:(1.0 +. Rng.float rng 9.0) t k
+      done;
+      (Dag.Builder.build b, k + 2, 0)
+    end
+    else begin
+      let tasks = 2 + Rng.int rng 24 in
+      let m = 2 + Rng.int rng 8 in
+      (Random_dag.layered ~rng ~tasks (), m, Rng.int rng (min 3 (m - 1) + 1))
+    end
+  in
+  let platform =
+    if Rng.bool rng 0.3 then Platform.homogeneous ~m ~speed:1.0 ~bandwidth:1.0 ()
+    else begin
+      let speeds = Array.init m (fun _ -> 0.5 +. Rng.float rng 2.0) in
+      let bandwidth = Array.make_matrix m m 0.0 in
+      for u = 0 to m - 1 do
+        for v = u + 1 to m - 1 do
+          let bw = 0.5 +. Rng.float rng 4.0 in
+          bandwidth.(u).(v) <- bw;
+          bandwidth.(v).(u) <- bw
+        done
+      done;
+      Platform.create ~speeds ~bandwidth ()
+    end
+  in
+  let work = ref 0.0 in
+  Dag.iter_tasks dag (fun t -> work := !work +. Dag.exec dag t);
+  let period = !work /. float_of_int m *. (0.05 +. Rng.float rng 1.5) in
+  (rng, fan_in, Types.problem ~dag ~platform ~eps ~throughput:(1.0 /. period))
+
+(* Random source sets: per predecessor, a non-empty random subset of its
+   replicas, in predecessor order. *)
+let random_sources rng (prob : Types.problem) task =
+  List.map
+    (fun (pred, _) ->
+      let all = List.init (prob.eps + 1) (fun copy -> { Replica.task = pred; copy }) in
+      match List.filter (fun _ -> Rng.bool rng 0.5) all with
+      | [] -> (pred, [ List.nth all (Rng.int rng (prob.eps + 1)) ])
+      | some -> (pred, some))
+    (Dag.preds prob.dag task)
+
+(* Walk a random problem in topological order, placing every replica of
+   a random prefix of the tasks on random processors with random source
+   sets.  Before each commit, [check] sees the state and the (task, copy)
+   about to be placed; the walk returns whether every check held. *)
+let walk_partial_schedule seed ~check ~commit =
+  let rng, fan_in, prob = probe_problem_of_seed seed in
+  let m = Platform.size prob.platform in
+  let st = State.create prob in
+  let order = Topo.order prob.dag in
+  let n = Array.length order in
+  let placed = if fan_in then n else Rng.int rng (n + 1) in
+  let ok = ref true in
+  for i = 0 to placed - 1 do
+    let task = order.(i) in
+    let used = ref [] in
+    for copy = 0 to prob.eps do
+      if not (check st rng ~task ~copy) then ok := false;
+      let rec free () =
+        let p = if fan_in && task < m - 2 then task else Rng.int rng m in
+        if List.mem p !used then free () else p
+      in
+      let proc = free () in
+      used := proc :: !used;
+      State.probe st ~task ~copy ~proc ~sources:(random_sources rng prob task);
+      let trial = State.trial st in
+      State.commit st trial;
+      commit trial
+    done
+  done;
+  !ok
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_trial (a : State.trial) (b : State.trial) =
+  a.t_task = b.t_task && a.t_copy = b.t_copy && a.t_proc = b.t_proc
+  && a.t_sources = b.t_sources
+  && same_float a.t_start b.t_start
+  && same_float a.t_finish b.t_finish
+  && a.t_stage = b.t_stage
+  && List.length a.t_comms = List.length b.t_comms
+  && List.for_all2
+       (fun (i, s, d, r) (i', s', d', r') ->
+         Replica.compare_id i i' = 0 && same_float s s' && same_float d d'
+         && same_float r r')
+       a.t_comms b.t_comms
+
+let prop_probe_matches_reference =
+  QCheck.Test.make
+    ~name:"arena probe is bit-identical to the list-based reference" ~count:60
+    seed_arb (fun seed ->
+      let rf = ref None in
+      let check st rng ~task ~copy =
+        let prob = State.problem st in
+        let r =
+          match !rf with
+          | Some r -> r
+          | None ->
+              let r = Ref_probe.create prob in
+              rf := Some r;
+              r
+        in
+        List.for_all
+          (fun proc ->
+            let sources = random_sources rng prob task in
+            State.probe st ~task ~copy ~proc ~sources;
+            let expected = Ref_probe.evaluate r ~task ~copy ~proc ~sources in
+            same_trial (State.trial st) expected
+            && State.feasible st = Ref_probe.feasible r expected
+            && same_float (State.overload st) (Ref_probe.overload r expected))
+          (Platform.procs prob.platform)
+      in
+      let commit trial = Option.iter (fun r -> Ref_probe.commit r trial) !rf in
+      walk_partial_schedule seed ~check ~commit)
+
+(* Every probe scores lexicographically at least the bound the pruning
+   step computes for its processor, under both ranks: the bound over all
+   replicas of every predecessor (the general branch) and the bound over
+   exactly the chosen single sources (the one-to-one branch). *)
+let prop_prune_bound_sound =
+  QCheck.Test.make ~name:"every probe scores at least its candidate bound"
+    ~count:60 seed_arb (fun seed ->
+      let check st rng ~task ~copy =
+        let prob = State.problem st in
+        let mapping = State.mapping st in
+        let entry (id : Replica.id) =
+          ( State.finish st id,
+            State.stage st id,
+            (Mapping.replica_exn mapping id.task id.copy).Replica.proc )
+        in
+        let work = Dag.exec prob.dag task in
+        let all_preds =
+          List.map
+            (fun (pred, vol) ->
+              ( vol,
+                List.init (prob.eps + 1) (fun copy ->
+                    entry { Replica.task = pred; copy }) ))
+            (Dag.preds prob.dag task)
+        in
+        List.for_all
+          (fun proc ->
+            let sources = random_sources rng prob task in
+            let singles =
+              List.map (fun (pred, ids) -> (pred, [ List.hd ids ])) sources
+            in
+            let exact_preds =
+              List.map2
+                (fun (_, vol) (_, ids) -> (vol, [ entry (List.hd ids) ]))
+                (Dag.preds prob.dag task) singles
+            in
+            List.for_all
+              (fun (sources, preds) ->
+                State.probe st ~task ~copy ~proc ~sources;
+                let stage_lb, finish_lb =
+                  Chunk_scheduler.candidate_bound st ~preds ~work proc
+                in
+                List.for_all
+                  (fun (rank : Chunk_scheduler.rank) ->
+                    compare
+                      (rank.score ~stage:(State.probe_stage st)
+                         ~finish:(State.probe_finish st))
+                      (rank.bound ~stage_lb ~finish_lb)
+                    >= 0)
+                  [ Chunk_scheduler.by_finish_time;
+                    Chunk_scheduler.by_stage_then_finish ])
+              [ (sources, all_preds); (singles, exact_preds) ])
+          (Platform.procs prob.platform)
+      in
+      walk_partial_schedule seed ~check ~commit:ignore)
+
+(* ------------------------------------------------------------------ *)
 (* Bitset vs Set.Make (Int)                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -415,6 +608,11 @@ let () =
           to_alcotest prop_tentative_matches_committed;
         ] );
       ("state", [ to_alcotest prop_flat_state_matches_reference ]);
+      ( "probe",
+        [
+          to_alcotest prop_probe_matches_reference;
+          to_alcotest prop_prune_bound_sound;
+        ] );
       ( "bitset",
         bitset_tests
         @ [ to_alcotest prop_bitset_matches_set;

@@ -67,6 +67,18 @@ let workflow_tests =
     case "bad weight is rejected" (fun () ->
         must_fail ~line:1 (Workflow_io.parse_workflow "task a -3\n");
         must_fail ~line:1 (Workflow_io.parse_workflow "task a abc\n"));
+    case "non-finite weights are rejected with their line" (fun () ->
+        List.iter
+          (fun w ->
+            must_fail ~line:2
+              (Workflow_io.parse_workflow ("task a 1.0\ntask b " ^ w ^ "\n"));
+            must_fail ~line:3
+              (Workflow_io.parse_workflow
+                 ("task a 1.0\ntask b 1.0\nedge a b " ^ w ^ "\n")))
+          [ "inf"; "infinity"; "-inf"; "nan" ];
+        match Workflow_io.parse_workflow "task a inf\n" with
+        | Ok _ -> Alcotest.fail "expected a parse error"
+        | Error e -> check_true "says finite" (contains e.Workflow_io.message "finite"));
     case "unknown keyword is rejected" (fun () ->
         must_fail ~line:1 (Workflow_io.parse_workflow "banana split\n"));
     case "cycles are rejected" (fun () ->
@@ -127,6 +139,19 @@ let platform_tests =
     case "duplicate processor is rejected" (fun () ->
         must_fail ~line:2
           (Workflow_io.parse_platform "proc a 1.0\nproc a 2.0\n"));
+    case "non-finite speeds and bandwidths are rejected with their line"
+      (fun () ->
+        List.iter
+          (fun v ->
+            must_fail ~line:2
+              (Workflow_io.parse_platform ("proc a 1.0\nproc b " ^ v ^ "\n"));
+            must_fail ~line:3
+              (Workflow_io.parse_platform
+                 ("proc a 1.0\nproc b 1.0\nlink a b " ^ v ^ "\n"));
+            must_fail ~line:2
+              (Workflow_io.parse_platform
+                 ("proc a 1.0\ndefault-bandwidth " ^ v ^ "\n")))
+          [ "inf"; "infinity"; "-inf"; "nan" ]);
     case "platform with no processors is rejected" (fun () ->
         must_fail ~line:0 (Workflow_io.parse_platform "platform empty\n"));
   ]

@@ -166,30 +166,50 @@ let timeline_tests =
         let base = Timeline.insert Timeline.empty ~start:0.0 ~duration:1.0 in
         let _branch = Timeline.insert base ~start:2.0 ~duration:1.0 in
         check_int "base untouched" 1 (List.length (Timeline.intervals base)));
-    case "compact preserves every query" (fun () ->
-        (* out-of-order inserts grow the overlay past the compaction
-           threshold before the representations are compared *)
-        let t =
+    case "packing preserves every query" (fun () ->
+        (* out-of-order inserts grow the overlay past the packing bound;
+           the in-order build of the same intervals never uses it *)
+        let starts =
+          [ 10.0; 2.0; 8.0; 4.0; 0.0; 6.0; 12.0; 3.0; 14.0; 16.0; 18.0; 20.0;
+            1.0; 5.0; 7.0; 9.0; 11.0; 13.0 ]
+        in
+        let build starts =
           List.fold_left
             (fun t s -> Timeline.insert t ~start:s ~duration:0.5)
-            Timeline.empty
-            [ 10.0; 2.0; 8.0; 4.0; 0.0; 6.0; 12.0; 3.0; 14.0; 16.0; 18.0; 20.0 ]
+            Timeline.empty starts
         in
-        let c = Timeline.compact t in
+        let t = build starts and c = build (List.sort compare starts) in
         Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
-          "intervals" (Timeline.intervals t) (Timeline.intervals c);
-        check_float "busy until" (Timeline.busy_until t) (Timeline.busy_until c);
-        check_float "total busy" (Timeline.total_busy t) (Timeline.total_busy c);
+          "intervals" (Timeline.intervals c) (Timeline.intervals t);
+        check_float "busy until" (Timeline.busy_until c) (Timeline.busy_until t);
+        check_float "total busy" (Timeline.total_busy c) (Timeline.total_busy t);
         List.iter
           (fun ready ->
             check_float "earliest fit"
-              (Timeline.earliest_fit t ~ready ~duration:0.75)
-              (Timeline.earliest_fit c ~ready ~duration:0.75))
+              (Timeline.earliest_fit c ~ready ~duration:0.75)
+              (Timeline.earliest_fit t ~ready ~duration:0.75))
           [ 0.0; 1.0; 2.25; 5.0; 11.0; 30.0 ]);
-    case "compact below the threshold is the identity" (fun () ->
-        let t = Timeline.insert Timeline.empty ~start:1.0 ~duration:1.0 in
-        check_true "same value" (Timeline.compact t == t);
-        check_true "empty too" (Timeline.compact Timeline.empty == Timeline.empty));
+    case "scratch leaves timeline alone" (fun () ->
+        let t = Timeline.insert Timeline.empty ~start:0.0 ~duration:2.0 in
+        let sc = Timeline.scratch () in
+        Timeline.reserve t sc ~start:2.0 ~duration:1.0;
+        check_float "fit after both" 3.0
+          (Timeline.earliest_fit_with t sc ~ready:0.0 ~duration:1.0);
+        check_float "committed only" 2.0
+          (Timeline.earliest_fit t ~ready:0.0 ~duration:1.0);
+        check_true "overlap with the scratch is rejected"
+          (try
+             Timeline.reserve t sc ~start:2.5 ~duration:1.0;
+             false
+           with Invalid_argument _ -> true);
+        check_true "overlap with the timeline is rejected"
+          (try
+             Timeline.reserve t sc ~start:1.0 ~duration:0.5;
+             false
+           with Invalid_argument _ -> true);
+        Timeline.clear sc;
+        check_float "cleared" 2.0
+          (Timeline.earliest_fit_with t sc ~ready:0.0 ~duration:1.0));
   ]
 
 (* ------------------------------------------------------------------ *)
