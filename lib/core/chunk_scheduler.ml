@@ -1,26 +1,28 @@
-(* A ranking is a score plus a cheap lower bound on that score.  The bound
-   receives, for the (task, copy) being placed on a candidate processor, a
-   floor on the finish time of any trial there and a floor on its pipeline
-   stage; both are valid for every source-set variant the placement branch
-   may try, so a candidate processor whose bound already loses to the
-   incumbent can skip the full timeline probe.  Soundness: [score] is
-   monotone in (stage, finish) component-wise, so [bound >lex incumbent]
-   implies [score >lex incumbent]. *)
+(* A ranking is a score plus the finish threshold beyond which a trial of
+   a given stage loses strictly to an incumbent score.  Soundness: a
+   finish above [cutoff ~stage incumbent] scores >lex the incumbent, and
+   [cutoff] never rises with the stage, so floors on the stage and the
+   finish of a trial decide as the trial itself would. *)
 type rank = {
   score : stage:int -> finish:float -> float * float;
-  bound : stage_lb:int -> finish_lb:float -> float * float;
+  cutoff : stage:int -> float * float -> float;
 }
 
 let by_finish_time : rank =
   {
     score = (fun ~stage:_ ~finish -> (finish, 0.0));
-    bound = (fun ~stage_lb:_ ~finish_lb -> (finish_lb, 0.0));
+    cutoff = (fun ~stage:_ (finish, _) -> finish);
   }
 
 let by_stage_then_finish : rank =
   {
     score = (fun ~stage ~finish -> (float_of_int stage, finish));
-    bound = (fun ~stage_lb ~finish_lb -> (float_of_int stage_lb, finish_lb));
+    cutoff =
+      (fun ~stage (best_stage, finish) ->
+        let stage = float_of_int stage in
+        if stage > best_stage then neg_infinity
+        else if stage = best_stage then finish
+        else infinity);
   }
 
 (* Per-chunk-task working data.  [ct_claimed] is the union of the kill
@@ -66,14 +68,18 @@ let singleton_data state count task =
         let on_singletons =
           Mapping.replicas_of_task mapping pred
           |> List.filter (fun (r : Replica.t) -> count.(r.proc) = 1)
-          |> List.map (fun (r : Replica.t) -> (r.id, r.proc))
         in
-        let key (id, proc) =
-          (Float.max (State.finish state id) (State.send_ready state proc), id)
-        in
+        (* [send_ready] folds over the whole send timeline: compute each
+           key once, not twice per comparison. *)
         let sorted =
-          List.sort (fun a b -> compare (key a) (key b)) on_singletons
-          |> List.map fst
+          List.map
+            (fun (r : Replica.t) ->
+              let ready =
+                Float.max (State.finish state r.id) (State.send_ready state r.proc)
+              in
+              (ready, r.id))
+            on_singletons
+          |> List.sort compare |> List.map snd
         in
         (pred, ref sorted))
       preds
@@ -95,16 +101,34 @@ let singleton_data state count task =
   { ct_task = task; ct_z = 0; ct_theta = theta; ct_claimed = State.Pset.empty;
     ct_heads = heads }
 
+type incumbent = { penalty : float; score : float * float; trial : State.trial }
+
+(* The one rule behind both the candidate prune and the in-probe cut: the
+   finish threshold above which a trial of the given penalty and stage
+   loses strictly to the incumbent under (penalty, rank).  Strictly, so
+   the processor-index tie-break cannot rescue it; the threshold never
+   rises with the penalty or the stage, so floors on both are sound. *)
+let cutoff ~(rank : rank) best ~penalty ~stage =
+  match best with
+  | None -> infinity
+  | Some b ->
+      if penalty > b.penalty then neg_infinity
+      else if penalty < b.penalty then infinity
+      else rank.cutoff ~stage b.score
+
+(* A candidate processor can be skipped without probing when the floors
+   {!candidate_bound} computes for it already lose: every penalty is ≥ 0,
+   and the floors are ≤ the stage and finish of every trial there. *)
+let prunable ~rank best ~stage_lb ~finish_lb =
+  finish_lb > cutoff ~rank best ~penalty:0.0 ~stage:stage_lb
+
 (* Incremental form of the historical pick-best fold: [offer] feeds
-   admitted probes in their generation order (ascending processor, then
+   complete probes in their generation order (ascending processor, then
    variant order), keeping the winner under (penalty, rank) with ties
    broken by processor index — the same winner the materialize-then-fold
    version selected.  Only a probe that takes the lead is kept as a
    trial. *)
-let offer ~(mode : Sched_api.mode) ~rank state best ~proc =
-  let penalty =
-    match mode with Strict -> 0.0 | Best_effort -> State.overload state
-  in
+let offer ~(rank : rank) state best ~penalty ~proc =
   let r1, r2 =
     rank.score ~stage:(State.probe_stage state) ~finish:(State.probe_finish state)
   in
@@ -113,27 +137,16 @@ let offer ~(mode : Sched_api.mode) ~rank state best ~proc =
   let leads =
     match !best with
     | None -> true
-    | Some ((bp, (b1, b2)), (best_trial : State.trial)) ->
+    | Some { penalty = bp; score = b1, b2; trial } ->
         if penalty <> bp then penalty < bp
         else if r1 <> b1 then r1 < b1
         else if r2 <> b2 then r2 < b2
-        else proc < best_trial.t_proc
+        else proc < trial.State.t_proc
   in
-  if leads then best := Some ((penalty, (r1, r2)), State.trial state)
+  if leads then
+    best := Some { penalty; score = (r1, r2); trial = State.trial state }
 
-(* A candidate processor can be skipped without probing when the incumbent
-   carries no overload penalty (so any candidate's penalty, ≥ 0, cannot
-   beat it) and the rank lower bound already loses: the bound is
-   component-wise ≤ the true score of every trial on that processor, so
-   bound >lex incumbent implies score >lex incumbent, and the strict
-   inequality also rules out the processor-index tie-break. *)
-let prune ~rank best ~stage_lb ~finish_lb =
-  match !best with
-  | Some ((penalty, best_rank), _) ->
-      penalty = 0.0 && rank.bound ~stage_lb ~finish_lb > best_rank
-  | None -> false
-
-(* The per-candidate floors feeding {!prune}.  [preds] holds, for each
+(* The per-candidate floors feeding {!prunable}.  [preds] holds, for each
    predecessor, the transfer volume and the admissible source replicas as
    (finish, stage, host) triples: every source set the placement branches
    may try draws at least one of them per predecessor, so data readiness
@@ -196,6 +209,33 @@ let admit ~(mode : Sched_api.mode) state =
         Obs.incr "core.feasibility_rejections";
       true
 
+type outcome = Rejected | Cut | Offered
+
+(* Branch and bound on one probe whose sources are collected: admission
+   and the penalty need no start time, so a probe that already loses on
+   penalty or stage is cut before any timeline work, and one whose
+   transfers push its finish past the incumbent's cutoff is cut midway.
+   A cut probe would have scored strictly worse than the incumbent, which
+   only improves, so the winner is the one every probe run to the end
+   would select. *)
+let contest ~(mode : Sched_api.mode) ~rank state best ~proc =
+  if not (admit ~mode state) then Rejected
+  else begin
+    let penalty =
+      match mode with Strict -> 0.0 | Best_effort -> State.overload state
+    in
+    let stage = State.probe_stage state in
+    let cutoff = cutoff ~rank !best ~penalty ~stage in
+    if State.complete state ~cutoff then begin
+      offer ~rank state best ~penalty ~proc;
+      Offered
+    end
+    else begin
+      Obs.incr "core.probe_cutoffs";
+      Cut
+    end
+  end
+
 (* Each replica may sole-source (transitively) through at most a "lane" of
    [m / (ε+1)] processors: the kill sets of the ε+1 replicas of a task must
    be pairwise disjoint subsets of the m processors, so unbounded chains
@@ -215,7 +255,8 @@ let lane_budget ~(opts : Sched_api.options) prob =
    kill set stays disjoint from the processors already claimed by sibling
    replicas and small enough to fit the lane budget; stale heads are
    dropped lazily. *)
-let one_to_one ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
+let one_to_one ~(opts : Sched_api.options) ~(rank : rank) ~procs state ct
+    ~copy =
   Obs.incr "core.one_to_one_calls";
   let mode = opts.mode in
   let prob = State.problem state in
@@ -252,13 +293,13 @@ let one_to_one ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
     let consider proc =
       if not (State.Pset.mem proc ct.ct_claimed) then begin
         let stage_lb, finish_lb = candidate_bound state ~preds ~work proc in
-        if prune ~rank best ~stage_lb ~finish_lb then
+        if prunable ~rank !best ~stage_lb ~finish_lb then
           Obs.incr "core.probe_prunes"
         else begin
           let kill = State.support_of_sources state ~proc ~sources in
           if State.Pset.cardinal kill <= budget then begin
             State.probe state ~task:ct.ct_task ~copy ~proc ~sources;
-            if admit ~mode state then offer ~mode ~rank state best ~proc
+            ignore (contest ~mode ~rank state best ~proc)
           end
         end
       end
@@ -266,7 +307,7 @@ let one_to_one ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
     let hosts = source_hosts preds in
     List.iter consider hosts;
     List.iter (fun p -> if not (List.mem p hosts) then consider p) procs;
-    match Option.map snd !best with
+    match Option.map (fun b -> b.trial) !best with
     | None -> None
     | Some trial ->
         State.commit state trial;
@@ -286,7 +327,7 @@ let one_to_one ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
    full groups keep them free.  A kill chain through the candidate
    processor itself is harmless (the replica dies with its host anyway)
    and is exempt from the disjointness requirement. *)
-let general ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
+let general ~(opts : Sched_api.options) ~(rank : rank) ~procs state ct ~copy =
   Obs.incr "core.general_calls";
   let mode = opts.mode in
   let prob = State.problem state in
@@ -388,7 +429,7 @@ let general ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
   let consider proc =
     if not (State.Pset.mem proc ct.ct_claimed) then begin
       let stage_lb, finish_lb = candidate_bound state ~preds ~work proc in
-      if prune ~rank best ~stage_lb ~finish_lb then
+      if prunable ~rank !best ~stage_lb ~finish_lb then
         Obs.incr "core.probe_prunes"
       else
         List.iter
@@ -400,7 +441,7 @@ let general ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
                 ct.ct_claimed
             then begin
               State.probe state ~task:ct.ct_task ~copy ~proc ~sources;
-              if admit ~mode state then offer ~mode ~rank state best ~proc
+              ignore (contest ~mode ~rank state best ~proc)
             end)
           (variants_on proc)
     end
@@ -408,7 +449,7 @@ let general ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
   let hosts = source_hosts preds in
   List.iter consider hosts;
   List.iter (fun p -> if not (List.mem p hosts) then consider p) procs;
-  match Option.map snd !best with
+  match Option.map (fun b -> b.trial) !best with
   | None -> None
   | Some trial ->
       State.commit state trial;
@@ -418,6 +459,7 @@ let general ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
 let schedule ?(opts = Sched_api.default) ~rank (prob : Types.problem) =
   Obs.touch "core.placement_probes";
   Obs.touch "core.probe_prunes";
+  Obs.touch "core.probe_cutoffs";
   Obs.touch "core.feasibility_rejections";
   Obs.touch "core.one_to_one_calls";
   Obs.touch "core.general_calls";
@@ -425,13 +467,7 @@ let schedule ?(opts = Sched_api.default) ~rank (prob : Types.problem) =
   Obs.touch "core.chunks";
   let dag = prob.Types.dag and plat = prob.Types.platform in
   let state = State.create prob in
-  let weights =
-    {
-      Levels.node = (fun t -> Dag.exec dag t *. Platform.mean_inverse_speed plat);
-      Levels.edge = (fun _ _ vol -> vol *. Platform.mean_unit_delay plat);
-    }
-  in
-  let priority = Levels.priority dag weights in
+  let priority = Levels.priority dag (Levels.averaged_weights dag plat) in
   let procs = Platform.procs plat in
   let count_scratch = Array.make (Platform.size plat) 0 in
   let higher a b =

@@ -32,7 +32,9 @@
     (re-exported by [Scheduler]); this module defines only the engine.
 
     When {!Obs.enabled} is on, a run records the counters
-    [core.placement_probes], [core.feasibility_rejections],
+    [core.placement_probes] (probes started), [core.probe_prunes]
+    (candidates skipped unprobed), [core.probe_cutoffs] (probes cut by
+    {!contest}), [core.feasibility_rejections],
     [core.one_to_one_calls], [core.general_calls], [core.commits] and
     [core.chunks], the histogram [core.chunk_size], and the per-chunk span
     [core.scheduler.chunk] into the calling domain's registry.  The
@@ -44,21 +46,60 @@ type rank = {
       (** Smaller is better, compared lexicographically; ties broken by
           processor index.  Monotone component-wise in the trial's
           pipeline stage and estimated finish time. *)
-  bound : stage_lb:int -> finish_lb:float -> float * float;
-      (** [score] at the floors {!candidate_bound} computes for a
-          candidate processor, hence a lower bound on the score of any
-          trial of the (task, copy) being placed there.  Candidates whose
-          bound already loses lexicographically to a zero-overload
-          incumbent are skipped without probing the port timelines — the
-          selected trial is identical, only the probe count changes. *)
+  cutoff : stage:int -> float * float -> float;
+      (** [cutoff ~stage incumbent] is a finish threshold: a trial of
+          that stage finishing strictly later scores strictly worse
+          ([>lex]) than the [incumbent] score.  It never rises with the
+          stage.  Candidates whose {!candidate_bound} floors already
+          exceed it, and probes whose finish floor exceeds it midway
+          through their transfers, are dropped — the selected trial is
+          identical, only the work changes. *)
 }
 
 val by_finish_time : rank
-(** LTF's policy: score [(F, 0)], bound [(finish_lb, 0)]. *)
+(** LTF's policy: score [(F, 0)]; cutoff the incumbent's finish. *)
 
 val by_stage_then_finish : rank
-(** R-LTF's Rule 1 policy: score [(stage, F)], bound
-    [(stage_lb, finish_lb)]. *)
+(** R-LTF's Rule 1 policy: score [(stage, F)]; cutoff [-∞] above the
+    incumbent's stage, its finish at that stage, [+∞] below it. *)
+
+type incumbent = {
+  penalty : float;  (** overload, 0 in strict mode *)
+  score : float * float;
+  trial : State.trial;
+}
+(** The best placement of a replica so far. *)
+
+val prunable :
+  rank:rank -> incumbent option -> stage_lb:int -> finish_lb:float -> bool
+(** Whether a candidate processor with the {!candidate_bound} floors
+    [(stage_lb, finish_lb)] can be skipped unprobed: [finish_lb] exceeds
+    the finish threshold above which a trial of penalty 0 (every penalty
+    is ≥ 0) and stage [stage_lb] loses strictly to the incumbent under
+    (penalty, rank) — [rank.cutoff] for a zero-penalty incumbent, [+∞]
+    for a penalized one or none.  Strictly, so that the processor-index
+    tie-break cannot rescue it. *)
+
+type outcome =
+  | Rejected  (** fails condition (1) in strict mode *)
+  | Cut  (** proven to lose to the incumbent, stopped early *)
+  | Offered  (** complete, and compared with the incumbent *)
+
+val contest :
+  mode:Sched_api.mode ->
+  rank:rank ->
+  State.t ->
+  incumbent option ref ->
+  proc:Platform.proc ->
+  outcome
+(** Decide the current probe (first phase done with {!State.probe} on
+    [proc]) against the incumbent: admit it, compute its penalty, and
+    complete it with {!State.complete} under the same threshold as
+    {!prunable} at the probe's own penalty and stage ([-∞] when its
+    penalty is higher than the incumbent's, [+∞] when lower); a complete
+    probe replaces the incumbent when it is smaller under (penalty, rank,
+    processor index).  A probe it cuts would have scored strictly worse
+    than the incumbent. *)
 
 val candidate_bound :
   State.t ->

@@ -19,7 +19,9 @@ type arena = {
   mutable p_proc : Platform.proc;
   mutable p_sources : (Dag.task * Replica.id list) list;
   mutable p_stage : int;
-  p_times : float array;         (* [| start; finish; data readiness |] *)
+  p_times : float array;
+      (* [| start; finish; data readiness |]; start and finish are nan
+         until the probe is complete *)
   p_loads : float array;         (* [| exec; incoming |], for condition (1) *)
   (* Per-sender outgoing time of the probe, for the throughput check:
      [out_pos.(p)] is p's index in [out_procs] (first-touch order), -1
@@ -222,21 +224,24 @@ let rec pred_volume pred = function
 
 (* One pass over the source sets: every remote source becomes a transfer
    in the arena; co-located sources floor the data readiness at their
-   finish time ([p_times.(2)], in source order); every source floors the
-   pipeline stage at its own stage, +1 when remote. *)
+   finish time and remote ones at their finish plus the transfer time
+   ([p_times.(2)], in source order); every source floors the pipeline
+   stage at its own stage, +1 when remote. *)
 let rec collect_sources s ~plat ~proc ~vol = function
   | [] -> ()
   | (src : Replica.id) :: rest ->
       let a = s.arena in
       let k = slot s src in
       let sp = proc_of_slot s k in
+      let ready = s.finish_arr.(k) in
       if sp = proc then begin
-        a.p_times.(2) <- Float.max a.p_times.(2) s.finish_arr.(k);
+        a.p_times.(2) <- Float.max a.p_times.(2) ready;
         a.p_stage <- max a.p_stage s.stage_arr.(k)
       end
       else begin
-        add_transfer a ~slot:k ~sp ~ready:s.finish_arr.(k)
-          ~dur:(Platform.comm_time plat sp proc vol);
+        let dur = Platform.comm_time plat sp proc vol in
+        add_transfer a ~slot:k ~sp ~ready ~dur;
+        a.p_times.(2) <- Float.max a.p_times.(2) (ready +. dur);
         a.p_stage <- max a.p_stage (s.stage_arr.(k) + 1)
       end;
       collect_sources s ~plat ~proc ~vol rest
@@ -249,46 +254,71 @@ let rec collect_transfers s ~plat ~proc ~preds = function
 
 let probe s ~task ~copy ~proc ~sources =
   Obs.incr "core.placement_probes";
-  let plat = s.prob.platform and dag = s.prob.dag and a = s.arena in
+  let a = s.arena in
   a.a_n <- 0;
+  a.p_times.(0) <- nan;
+  a.p_times.(1) <- nan;
   a.p_times.(2) <- 0.0;
   a.p_stage <- 1;
-  collect_transfers s ~plat ~proc ~preds:(Dag.preds dag task) sources;
-  (* Schedule the transfers in order on the target's receive port and the
-     send ports of their sources, each read through the probe's own
-     reservations so far; the committed timelines are never written. *)
-  let recv_tl = s.recv_tl.(proc) in
+  collect_transfers s ~plat:s.prob.platform ~proc
+    ~preds:(Dag.preds s.prob.dag task) sources;
+  a.p_task <- task;
+  a.p_copy <- copy;
+  a.p_proc <- proc;
+  a.p_sources <- sources
+
+(* Schedule the transfers in order on the target's receive port and the
+   send ports of their sources, each read through the probe's own
+   reservations so far; the committed timelines are never written.  A
+   transfer starts no earlier than its source's finish, so it arrives no
+   earlier than the floor [collect_sources] put into [p_times.(2)]: the
+   running maximum of that floor and the arrivals so far is a floor on the
+   data readiness that only rises, and ends exactly at the data readiness.
+   The execution starts no earlier than that, so once the floor plus the
+   execution time exceeds [cutoff] the probe stops. *)
+let complete s ~cutoff =
+  let a = s.arena in
+  let exec =
+    Platform.exec_time s.prob.platform a.p_proc (Dag.exec s.prob.dag a.p_task)
+  in
+  let recv_tl = s.recv_tl.(a.p_proc) in
+  let rec transfers i =
+    if a.p_times.(2) +. exec > cutoff then false
+    else if i = a.a_n then true
+    else begin
+      let sp = a.a_sp.(i) and duration = a.a_dur.(i) in
+      let start =
+        joint_fit s.send_tl.(sp) a.send.(sp) recv_tl a.recv ~ready:a.a_ready.(i)
+          ~duration
+      in
+      Timeline.reserve recv_tl a.recv ~start ~duration;
+      Timeline.reserve s.send_tl.(sp) a.send.(sp) ~start ~duration;
+      a.a_start.(i) <- start;
+      a.p_times.(2) <- Float.max a.p_times.(2) (start +. duration);
+      transfers (i + 1)
+    end
+  in
   Timeline.clear a.recv;
   for i = 0 to a.a_n - 1 do
     Timeline.clear a.send.(a.a_sp.(i))
   done;
-  for i = 0 to a.a_n - 1 do
-    let sp = a.a_sp.(i) and duration = a.a_dur.(i) in
-    let start =
-      joint_fit s.send_tl.(sp) a.send.(sp) recv_tl a.recv ~ready:a.a_ready.(i)
-        ~duration
-    in
-    Timeline.reserve recv_tl a.recv ~start ~duration;
-    Timeline.reserve s.send_tl.(sp) a.send.(sp) ~start ~duration;
-    a.a_start.(i) <- start;
-    a.p_times.(2) <- Float.max a.p_times.(2) (start +. duration)
-  done;
-  let exec = Platform.exec_time plat proc (Dag.exec dag task) in
-  let start =
-    Timeline.earliest_fit s.proc_tl.(proc) ~ready:a.p_times.(2) ~duration:exec
-  in
-  a.p_task <- task;
-  a.p_copy <- copy;
-  a.p_proc <- proc;
-  a.p_sources <- sources;
-  a.p_times.(0) <- start;
-  a.p_times.(1) <- start +. exec
+  transfers 0
+  && begin
+       let start =
+         Timeline.earliest_fit s.proc_tl.(a.p_proc) ~ready:a.p_times.(2)
+           ~duration:exec
+       in
+       a.p_times.(0) <- start;
+       a.p_times.(1) <- start +. exec;
+       true
+     end
 
 let probe_finish s = s.arena.p_times.(1)
 let probe_stage s = s.arena.p_stage
 
 let trial s =
   let a = s.arena in
+  if Float.is_nan a.p_times.(1) then invalid_arg "State.trial: probe not complete";
   let rec comms i =
     if i = a.a_n then []
     else

@@ -7,13 +7,17 @@
     times, and incremental pipeline stages.
 
     A placement is first {!probe}d (no change to the committed state) and
-    the chosen one is then {!commit}ted.  A probe schedules each incoming
-    transfer earliest-fit on the pair (sender send port, receiver receive
-    port) and the execution earliest-fit on the target processor, on top
-    of the committed timelines.  Its outcome lives in an arena owned by
-    the state and reused by the next probe: read it with {!probe_finish},
-    {!probe_stage}, {!feasible} and {!overload}, and keep it with
-    {!trial}. *)
+    the chosen one is then {!commit}ted.  A probe runs in two phases.
+    {!probe} collects the sources: the remote transfers, the pipeline
+    stage and a floor on the data readiness; {!probe_stage}, {!feasible}
+    and {!overload} can be read from then on, since they need no start
+    time.  {!complete} then schedules each incoming transfer earliest-fit
+    on the pair (sender send port, receiver receive port) and the
+    execution earliest-fit on the target processor, on top of the
+    committed timelines, and stops early once the finish is proven to
+    exceed a threshold.  The outcome lives in an arena owned by the state
+    and reused by the next probe: read a complete probe's finish with
+    {!probe_finish}, and keep it with {!trial}. *)
 
 type t
 
@@ -88,21 +92,32 @@ val probe :
   proc:Platform.proc ->
   sources:(Dag.task * Replica.id list) list ->
   unit
-(** Simulate placing the replica on the processor with the given source
-    sets (one entry per predecessor, each source already placed),
-    replacing the previous probe.  Does not check the throughput
-    condition — see {!feasible}.  Once the arena has grown to the
-    largest fan-in, a probe builds no list, timeline version or table.
+(** First phase of a probe: collect the sources of placing the replica on
+    the processor with the given source sets (one entry per predecessor,
+    each source already placed), replacing the previous probe.  Schedules
+    nothing — see {!complete} — and does not check the throughput
+    condition — see {!feasible}.  Once the arena has grown to the largest
+    fan-in, a probe builds no list, timeline version or table.
     @raise Invalid_argument if a source is not placed. *)
 
+val complete : t -> cutoff:float -> bool
+(** Second phase of the current probe: schedule its transfers and its
+    execution.  Returns [false], leaving the probe incomplete, as soon as
+    a floor on its finish time exceeds [cutoff] — a floor that only rises
+    and is at most the finish the full schedule would give, so a probe
+    stopped here would have finished strictly after [cutoff].  With
+    [cutoff = infinity] it always runs to the end. *)
+
 val probe_finish : t -> float
-(** Estimated finish time of the current probe. *)
+(** Estimated finish time of the current probe; [nan] unless {!complete}
+    returned [true] for it. *)
 
 val probe_stage : t -> int
 (** Pipeline stage of the current probe. *)
 
 val trial : t -> trial
-(** The current probe as a value that survives later probes. *)
+(** The current probe as a value that survives later probes.
+    @raise Invalid_argument unless the probe is complete. *)
 
 val feasible : t -> bool
 (** Condition (1) of §4 for the current probe: with the replica added, the

@@ -9,6 +9,14 @@ let unit_weights : weights =
 let exec_weights g : weights =
   { node = Dag.exec g; edge = (fun _ _ v -> v) }
 
+let averaged_weights g plat =
+  let inverse_speed = Platform.mean_inverse_speed plat
+  and unit_delay = Platform.mean_unit_delay plat in
+  {
+    node = (fun t -> Dag.exec g t *. inverse_speed);
+    edge = (fun _ _ vol -> vol *. unit_delay);
+  }
+
 let top g w =
   let tl = Array.make (Dag.size g) 0.0 in
   Array.iter

@@ -23,6 +23,12 @@ val exec_weights : Dag.t -> weights
 (** Node weight = execution weight of the task, edge weight = data volume:
     the natural weights on a homogeneous unit-speed platform. *)
 
+val averaged_weights : Dag.t -> Platform.t -> weights
+(** Node weight = execution weight times the platform's mean inverse
+    speed, edge weight = volume times its mean unit link delay: the
+    platform-averaged weights of the priority lists (LTF, R-LTF, HEFT and
+    the other list schedulers).  Both means are computed once, here. *)
+
 val top : Dag.t -> weights -> float array
 val bottom : Dag.t -> weights -> float array
 

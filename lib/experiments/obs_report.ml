@@ -1,6 +1,8 @@
 let required_counters =
   [
     "core.placement_probes";
+    "core.probe_prunes";
+    "core.probe_cutoffs";
     "core.feasibility_rejections";
     "core.one_to_one_calls";
     "core.general_calls";

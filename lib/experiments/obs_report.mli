@@ -11,6 +11,8 @@
 
 val required_counters : string list
 (** [core.placement_probes] (one per {!State.probe}),
+    [core.probe_prunes] (candidate processors skipped unprobed),
+    [core.probe_cutoffs] (probes stopped once proven to lose),
     [core.feasibility_rejections] (condition-(1) refusals),
     [core.one_to_one_calls] / [core.general_calls] (placement branch
     invocations), [core.commits], [core.chunks], [sim.events_popped],

@@ -291,6 +291,12 @@ let random_sources rng (prob : Types.problem) task =
       | some -> (pred, some))
     (Dag.preds prob.dag task)
 
+(* Both phases of a probe, run to the end. *)
+let full_probe st ~task ~copy ~proc ~sources =
+  State.probe st ~task ~copy ~proc ~sources;
+  if not (State.complete st ~cutoff:infinity) then
+    failwith "State.complete cut a probe at an infinite cutoff"
+
 (* Walk a random problem in topological order, placing every replica of
    a random prefix of the tasks on random processors with random source
    sets.  Before each commit, [check] sees the state and the (task, copy)
@@ -314,7 +320,7 @@ let walk_partial_schedule seed ~check ~commit =
       in
       let proc = free () in
       used := proc :: !used;
-      State.probe st ~task ~copy ~proc ~sources:(random_sources rng prob task);
+      full_probe st ~task ~copy ~proc ~sources:(random_sources rng prob task);
       let trial = State.trial st in
       State.commit st trial;
       commit trial
@@ -355,7 +361,7 @@ let prop_probe_matches_reference =
         List.for_all
           (fun proc ->
             let sources = random_sources rng prob task in
-            State.probe st ~task ~copy ~proc ~sources;
+            full_probe st ~task ~copy ~proc ~sources;
             let expected = Ref_probe.evaluate r ~task ~copy ~proc ~sources in
             same_trial (State.trial st) expected
             && State.feasible st = Ref_probe.feasible r expected
@@ -365,10 +371,26 @@ let prop_probe_matches_reference =
       let commit trial = Option.iter (fun r -> Ref_probe.commit r trial) !rf in
       walk_partial_schedule seed ~check ~commit)
 
-(* Every probe scores lexicographically at least the bound the pruning
-   step computes for its processor, under both ranks: the bound over all
-   replicas of every predecessor (the general branch) and the bound over
-   exactly the chosen single sources (the one-to-one branch). *)
+let ranks = [ Chunk_scheduler.by_finish_time; Chunk_scheduler.by_stage_then_finish ]
+
+(* Incumbent scores at and around a given (stage, finish): equal, one ulp
+   either side in finish, one stage either side. *)
+let scores_around (rank : Chunk_scheduler.rank) ~stage ~finish =
+  List.concat_map
+    (fun stage ->
+      List.map
+        (fun finish -> rank.score ~stage ~finish)
+        [ Float.pred finish; finish; Float.succ finish ])
+    [ stage - 1; stage; stage + 1 ]
+
+(* Every probe's stage and finish are at least the floors the pruning step
+   computes for its processor, both for the floors over all replicas of
+   every predecessor (the general branch) and over exactly the chosen
+   single sources (the one-to-one branch); so, under both ranks, it scores
+   at least the score at the floors, and the pruning rule never drops a
+   candidate whose probe would not lose strictly to the incumbent.  The
+   rule is checked against zero-penalty incumbents at and one step around
+   both the probe's score and the floors' score. *)
 let prop_prune_bound_sound =
   QCheck.Test.make ~name:"every probe scores at least its candidate bound"
     ~count:60 seed_arb (fun seed ->
@@ -402,21 +424,108 @@ let prop_prune_bound_sound =
             in
             List.for_all
               (fun (sources, preds) ->
-                State.probe st ~task ~copy ~proc ~sources;
+                full_probe st ~task ~copy ~proc ~sources;
+                let stage = State.probe_stage st and finish = State.probe_finish st in
                 let stage_lb, finish_lb =
                   Chunk_scheduler.candidate_bound st ~preds ~work proc
                 in
-                List.for_all
-                  (fun (rank : Chunk_scheduler.rank) ->
-                    compare
-                      (rank.score ~stage:(State.probe_stage st)
-                         ~finish:(State.probe_finish st))
-                      (rank.bound ~stage_lb ~finish_lb)
-                    >= 0)
-                  [ Chunk_scheduler.by_finish_time;
-                    Chunk_scheduler.by_stage_then_finish ])
+                stage_lb <= stage && finish_lb <= finish
+                && List.for_all
+                     (fun (rank : Chunk_scheduler.rank) ->
+                       let score = rank.score ~stage ~finish in
+                       compare score (rank.score ~stage:stage_lb ~finish:finish_lb)
+                       >= 0
+                       && List.for_all
+                            (fun best ->
+                              let incumbent =
+                                Some
+                                  {
+                                    Chunk_scheduler.penalty = 0.0;
+                                    score = best;
+                                    trial = State.trial st;
+                                  }
+                              in
+                              (not
+                                 (Chunk_scheduler.prunable ~rank incumbent
+                                    ~stage_lb ~finish_lb))
+                              || compare score best > 0)
+                            (scores_around rank ~stage ~finish
+                            @ scores_around rank ~stage:stage_lb ~finish:finish_lb))
+                     ranks)
               [ (sources, all_preds); (singles, exact_preds) ])
           (Platform.procs prob.platform)
+      in
+      walk_partial_schedule seed ~check ~commit:ignore)
+
+(* Cutting probes against the incumbent changes no decision.  A random
+   sequence of probes of the next replica — every processor in a random
+   order, one to three random source sets each, one of them probed twice
+   so that exact ties with the incumbent occur — is decided by
+   [Chunk_scheduler.contest] under both ranks and both modes, and by a
+   plain fold that runs every probe to the end and keeps the minimum
+   under (penalty, rank, processor index).  The winners must be the same
+   trial, and every probe [contest] cut must, run to the end, score
+   strictly worse than the incumbent it was cut against. *)
+let prop_cutoff_keeps_winner =
+  QCheck.Test.make ~name:"cut-off probes never change the winner" ~count:60
+    seed_arb (fun seed ->
+      let check st rng ~task ~copy =
+        let prob = State.problem st in
+        let procs = Array.of_list (Platform.procs prob.platform) in
+        Rng.shuffle rng procs;
+        let probes =
+          List.concat_map
+            (fun proc ->
+              let sets =
+                List.init (1 + Rng.int rng 3) (fun _ -> random_sources rng prob task)
+              in
+              List.map (fun sources -> (proc, sources)) (sets @ [ List.hd sets ]))
+            (Array.to_list procs)
+        in
+        let score_of (mode : Sched_api.mode) (rank : Chunk_scheduler.rank) =
+          ( (match mode with Strict -> 0.0 | Best_effort -> State.overload st),
+            rank.score ~stage:(State.probe_stage st) ~finish:(State.probe_finish st) )
+        in
+        List.for_all
+          (fun ((mode : Sched_api.mode), rank) ->
+            let best = ref None and sound = ref true in
+            List.iter
+              (fun (proc, sources) ->
+                State.probe st ~task ~copy ~proc ~sources;
+                let before = !best in
+                match Chunk_scheduler.contest ~mode ~rank st best ~proc with
+                | Cut -> (
+                    full_probe st ~task ~copy ~proc ~sources;
+                    match before with
+                    | Some (b : Chunk_scheduler.incumbent) ->
+                        if compare (score_of mode rank) (b.penalty, b.score) <= 0 then
+                          sound := false
+                    | None -> sound := false)
+                | Rejected | Offered -> ())
+              probes;
+            let reference = ref None in
+            List.iter
+              (fun (proc, sources) ->
+                full_probe st ~task ~copy ~proc ~sources;
+                if mode = Best_effort || State.feasible st then begin
+                  let key = (score_of mode rank, proc) in
+                  match !reference with
+                  | Some (k, _) when compare k key <= 0 -> ()
+                  | _ -> reference := Some (key, State.trial st)
+                end)
+              probes;
+            !sound
+            &&
+            match (!best, !reference) with
+            | None, None -> true
+            | Some (b : Chunk_scheduler.incumbent), Some (((penalty, score), _), trial) ->
+                same_float b.penalty penalty && compare b.score score = 0
+                && same_trial b.trial trial
+            | _ -> false)
+          [ (Strict, Chunk_scheduler.by_finish_time);
+            (Strict, Chunk_scheduler.by_stage_then_finish);
+            (Best_effort, Chunk_scheduler.by_finish_time);
+            (Best_effort, Chunk_scheduler.by_stage_then_finish) ]
       in
       walk_partial_schedule seed ~check ~commit:ignore)
 
@@ -612,6 +721,7 @@ let () =
         [
           to_alcotest prop_probe_matches_reference;
           to_alcotest prop_prune_bound_sound;
+          to_alcotest prop_cutoff_keeps_winner;
         ] );
       ( "bitset",
         bitset_tests
